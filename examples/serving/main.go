@@ -361,8 +361,8 @@ func main() {
 		Router:    cluster.LeastLoaded(),
 		Seed:      7,
 		DrainTick: 16, DrainNode: 2,
-		Failures:  []cluster.Failure{{Node: 0, Tick: 24, Ticks: 96}},
-		Obs:       &obs.Config{Window: 32},
+		Failures: []cluster.Failure{{Node: 0, Tick: 24, Ticks: 96}},
+		Obs:      &obs.Config{Window: 32},
 	}, workload)
 	if err != nil {
 		log.Fatal(err)

@@ -109,7 +109,7 @@ type Cluster struct {
 	parked     []*serving.Migrant // migrants with nowhere to go during a total outage
 	held       []int              // arrivals held at the ingress during a total outage
 	migrations int                // suspended-session migrations (fresh re-routes excluded)
-	requeues   int          // fresh queue entries re-routed by drain/failover
+	requeues   int                // fresh queue entries re-routed by drain/failover
 	drains     int
 	failures   int // ground-truth crash onsets (scripted and unscripted)
 	order      int

@@ -172,8 +172,8 @@ func clusterGrid(t *testing.T, router Router, noFuse bool) (*Report, []obs.Event
 		},
 		Router: router, Seed: 19,
 		DrainTick: 9, DrainNode: 2,
-		Failures:  []Failure{{Node: 1, Tick: 5, Ticks: 12}},
-		Obs:       &obs.Config{Window: 8},
+		Failures: []Failure{{Node: 1, Tick: 5, Ticks: 12}},
+		Obs:      &obs.Config{Window: 8},
 	}
 	c, err := New(zoo.m, cfg, w)
 	if err != nil {

@@ -71,9 +71,9 @@ type Report struct {
 	// placements — 1.0 is a perfect spread), and cross-node queueing: the
 	// total and per-migrant mean ticks migrated sessions spent suspended
 	// (their ResumeDelayTicks, which spans the node hop).
-	Placements        []int
-	Imbalance         float64
-	Migrations        int
+	Placements []int
+	Imbalance  float64
+	Migrations int
 	// Requeues counts fresh (not-yet-admitted) queue entries re-routed off
 	// a draining or failing node — placement paperwork, not live-stream
 	// migrations.

@@ -117,7 +117,7 @@ func Chaos(l *Lab) ([]*Table, error) {
 			System: sys, Arb: arb, Sched: serving.EDF(), Preempt: pre,
 			MaxActive: slots, Quantum: quantum, Seed: l.ServeSeed,
 			Faults: plan, Retry: faults.RetryPolicy{MaxAttempts: 1},
-			Obs:    rec,
+			Obs: rec,
 		}
 		if recover {
 			cfg.Retry = faults.RetryPolicy{MaxAttempts: retryAttempts}

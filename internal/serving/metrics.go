@@ -135,11 +135,11 @@ type Report struct {
 	// or degraded away. DipSlotTicks is capacity lost to dips (slot·ticks
 	// while work existed); MeanRecoverTicks averages fault → re-placement
 	// delay over granted retries.
-	Injector                             string
+	Injector                               string
 	StepFaults, Revocations, Cancellations int
-	Retries, Failed, Shed                int
-	DipSlotTicks                         int
-	MeanRecoverTicks                     float64
+	Retries, Failed, Shed                  int
+	DipSlotTicks                           int
+	MeanRecoverTicks                       float64
 	// GoodTokens counts tokens of completed sessions' surviving work;
 	// Goodput is GoodTokens per simulated second. TotalTokens / SimTokS
 	// above count *all* decoded tokens — including work discarded by
