@@ -100,13 +100,7 @@ func BatchStep(sts []*Stream, a *BatchArena) int {
 		if st.m != m {
 			panic("eval: BatchStep streams must share one model")
 		}
-		if st.winPos == 0 {
-			if st.dec == nil {
-				st.dec = st.m.NewDecoder(st.hook)
-			} else {
-				st.dec.Reset()
-			}
-		}
+		st.beginToken()
 		a.decs[b] = st.dec
 		a.ids[b] = st.tokens[st.pos]
 		a.schemes[b] = st.s
@@ -116,23 +110,7 @@ func BatchStep(sts []*Stream, a *BatchArena) int {
 	logits := m.StepBatch(a.decs[:B], a.ids[:B], a.hookFn, &a.db)
 	a.lcol = tensor.Reuse(a.lcol, logits.Rows)
 	for b, st := range a.active {
-		st.pos++
-		st.decoded++
-		st.winPos++
-		if st.winPos < st.win {
-			// This position predicts the next token of the same window; the
-			// window's final logits are context-only, as in Stream.Step.
-			lg := logits.Col(b, a.lcol)
-			st.winCE += tensor.LogSumExp(lg) - float64(lg[st.tokens[st.pos]])
-			st.preds++
-		} else {
-			st.ce += st.winCE
-			st.winCE = 0
-			st.winPos = 0
-		}
-		if st.deferred {
-			st.dirty = true
-		}
+		st.endToken(logits.Col(b, a.lcol))
 	}
 	return B
 }

@@ -229,6 +229,14 @@ func (st *Stream) Step() bool {
 	if st.deferred && st.dirty {
 		panic("eval: deferred Stream stepped with uncommitted accesses")
 	}
+	st.beginToken()
+	st.endToken(st.dec.Step(st.tokens[st.pos]))
+	return true
+}
+
+// beginToken readies the decoder for the next token: built on the first
+// step, reset at every window start. Step and BatchStep share it.
+func (st *Stream) beginToken() {
 	if st.winPos == 0 {
 		if st.dec == nil {
 			st.dec = st.m.NewDecoder(st.hook)
@@ -236,7 +244,12 @@ func (st *Stream) Step() bool {
 			st.dec.Reset()
 		}
 	}
-	logits := st.dec.Step(st.tokens[st.pos])
+}
+
+// endToken advances the stream past the token whose logits were just
+// decoded, scoring them against the next token, and marks a deferred
+// stream's buffered accesses as awaiting Commit. Step and BatchStep share it.
+func (st *Stream) endToken(logits tensor.Vec) {
 	st.pos++
 	st.decoded++
 	st.winPos++
@@ -253,7 +266,6 @@ func (st *Stream) Step() bool {
 	if st.deferred {
 		st.dirty = true
 	}
-	return true
 }
 
 // Commit applies the deferred accesses of the last Step to the (shared)

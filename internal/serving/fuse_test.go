@@ -90,9 +90,9 @@ func TestFusedTickSteadyStateAllocations(t *testing.T) {
 		active = append(active, sess)
 	}
 	for i := 0; i < 3; i++ { // warm the arenas and KV capacity
-		e.tickFused(active)
+		e.tick(active)
 	}
-	allocs := testing.AllocsPerRun(5, func() { e.tickFused(active) })
+	allocs := testing.AllocsPerRun(5, func() { e.tick(active) })
 	layers := len(zoo.m.Blocks)
 	kvBudget := float64(quantum * k * layers * 2)
 	// Slack covers KV slice regrowth, sparse-gather regrowth, and
@@ -130,9 +130,9 @@ func TestFusedTickSteadyStateAllocations(t *testing.T) {
 		active2 = append(active2, sess)
 	}
 	for i := 0; i < 3; i++ {
-		e2.tickShared(active2)
+		e2.tick(active2)
 	}
-	unfused := testing.AllocsPerRun(5, func() { e2.tickShared(active2) })
+	unfused := testing.AllocsPerRun(5, func() { e2.tick(active2) })
 	if allocs*2 > unfused {
 		t.Fatalf("fused tick allocates %.0f objects, unfused %.0f — fusion no longer pays its way", allocs, unfused)
 	}

@@ -224,19 +224,12 @@ func (e *Engine) StepTick(tick int) (fin []Finished, stepped bool, err error) {
 	if len(e.active) == 0 {
 		return e.fin, false, nil
 	}
-	// Telemetry brackets the decode switch from the serial loop: the
-	// parallel tick paths themselves never touch the recorder, so the
-	// event stream and tracker feed are identical for any worker count
-	// and either decode path.
+	// Telemetry brackets the decode loop from the serial loop: the decode
+	// loop itself never touches the recorder, so the event stream and
+	// tracker feed are identical for any worker count and either decode
+	// path.
 	tokPre, hitPre, missPre := e.obsTickStart(tick, e.active, len(e.queue))
-	switch {
-	case !e.cfg.NoFuse:
-		e.tickFused(e.active)
-	case e.cfg.Arb == ArbShared:
-		e.tickShared(e.active)
-	default:
-		e.tickPartitioned(e.active)
-	}
+	e.tick(e.active)
 	e.obsTickEnd(tick, e.active, tokPre, hitPre, missPre)
 	post := tick + 1
 	live := e.active[:0]

@@ -12,9 +12,9 @@
 // refills a slot the moment its session finishes; and a pluggable
 // Preemptor (none, deadline, prio) may suspend a running session whose
 // pressure a queued entry strictly outranks, resuming its retained stream
-// later (see Preemptor). Each tick the engine fans
-// the active batch out over the shared worker pool and advances every
-// session by a token quantum through eval.Stream — the same per-token
+// later (see Preemptor). Each tick the engine advances every active
+// session by a token quantum through eval.Stream — one fused batched step
+// per token for the whole batch (see Config.NoFuse) over the same per-token
 // machinery SystemEvaluate uses, so a session evaluated alone is
 // bit-identical to a solo SystemEvaluate run.
 //
@@ -98,12 +98,13 @@ type Config struct {
 	// Seed drives the same-tick arrival shuffle. Fixed seed ⇒ fixed
 	// admission tiebreaks ⇒ bit-identical outputs and cache statistics.
 	Seed uint64
-	// NoFuse disables the fused multi-RHS decode path and falls back to
-	// stepping each session independently. The default (fused) tick
-	// collects the active slots and issues one batched step per token
-	// sub-quantum, walking every weight matrix once for the whole batch.
-	// Reports are bit-identical either way (enforced in tests); the flag
-	// exists to measure the fusion win and to pin the equivalence in CI.
+	// NoFuse swaps the fused multi-RHS decode step for per-session stepping.
+	// Either way the tick runs one loop of token sub-steps over the
+	// unfinished slots: by default each sub-step is one batched step that
+	// walks every weight matrix once for the whole batch; with NoFuse it
+	// steps each session on its own, fanned over the worker pool. Reports
+	// are bit-identical either way (enforced in tests); the flag exists to
+	// measure the fusion win and to pin the equivalence in CI.
 	NoFuse bool
 
 	// Faults injects seeded failures into the engine loop (nil = reliable
@@ -254,8 +255,8 @@ type Engine struct {
 	obs *obs.Recorder
 
 	// Per-tick scratch, reused across the run so steady-state ticks do not
-	// allocate engine-side: the fused-step batch (streams plus their
-	// sessions, for sub-quantum finish accounting) and arena, and the
+	// allocate engine-side: the sub-step batch (streams plus their sessions,
+	// for sub-quantum finish accounting), the fused-step arena, and the
 	// same-tick arrival shuffle buffer.
 	arena     eval.BatchArena
 	batch     []*eval.Stream
