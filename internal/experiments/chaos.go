@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/cache"
-	"repro/internal/eval"
-	"repro/internal/hwsim"
-	"repro/internal/model"
 	"repro/internal/serving"
 	"repro/internal/serving/faults"
+	"repro/internal/serving/obs"
 	"repro/internal/sparsity"
 )
 
@@ -25,55 +22,9 @@ import (
 // no-recovery baseline (retry budget 1, no shedding) on the identical
 // trace and fault schedule.
 func Chaos(l *Lab) ([]*Table, error) {
-	name := model.Phi3MedSim
-	m := l.Model(name)
-	toks := l.TestTokens(0)
-	win := l.EvalWin()
-	sessTokens := l.evalTokens() / 4
-	k := 8
-	if l.Scale == model.ScalePaper {
-		k = 12
-	}
-	if l.ServeSmoke {
-		k = 6
-		sessTokens = 2 * win
-	}
+	const slots = 2
+	g := newServingGrid(l, "chaos", 8, 12, 6, slots)
 	scheme := sparsity.NewDIP(0.5)
-	sys := eval.SystemConfig{Device: hwsim.A18Like(), Policy: cache.PolicyLFU, Win: win}
-	slots := 2
-	const quantum = 8
-	maxStream := sessTokens + 2*win
-	svcTicks := (maxStream + quantum - 1) / quantum
-	deadline := l.ServeSLO
-	if deadline <= 0 {
-		deadline = (k/slots + 2) * svcTicks
-	}
-	rate := l.ServeRate
-	if rate <= 0 {
-		rate = float64(slots) / float64(svcTicks)
-	}
-
-	makeWorkload := func() (serving.Workload, error) {
-		reqs := make([]serving.Request, k)
-		for i := range reqs {
-			n := sessTokens + (i%3)*win
-			start := 0
-			if len(toks) > n {
-				start = (i * 997) % (len(toks) - n)
-			}
-			slo := serving.SLO{Class: "batch"}
-			if i%2 == 0 {
-				slo = serving.SLO{Class: "interactive", Priority: 2, DeadlineTicks: deadline}
-			}
-			reqs[i] = serving.Request{
-				ID:     fmt.Sprintf("c%02d", i),
-				Scheme: scheme,
-				Tokens: toks[start : start+n],
-				SLO:    slo,
-			}
-		}
-		return serving.PoissonArrivals(reqs, rate, l.ServeSeed+1)
-	}
 
 	faultRates := []float64{0.02, 0.05}
 	if l.ServeFaults > 0 {
@@ -112,44 +63,24 @@ func Chaos(l *Lab) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rec := l.obsRecorder()
-		cfg := serving.Config{
-			System: sys, Arb: arb, Sched: serving.EDF(), Preempt: pre,
-			MaxActive: slots, Quantum: quantum, Seed: l.ServeSeed,
-			Faults: plan, Retry: faults.RetryPolicy{MaxAttempts: 1},
-			Obs: rec,
-		}
+		cfg := g.config(arb, serving.EDF(), slots)
+		cfg.Preempt, cfg.Faults, cfg.Retry = pre, plan, faults.RetryPolicy{MaxAttempts: 1}
+		mode := "none"
 		if recover {
 			cfg.Retry = faults.RetryPolicy{MaxAttempts: retryAttempts}
 			cfg.ShedQueueBudget = shedBudget
 			cfg.Degrade = true
+			mode = "recovery"
 		}
-		w, err := makeWorkload()
-		if err != nil {
-			return nil, err
-		}
-		e, err := serving.NewEngine(m, cfg, w)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := e.Run()
-		if err != nil {
-			return nil, err
-		}
-		if rec != nil {
-			if err := rep.ReconcileObs(); err != nil {
-				return nil, fmt.Errorf("chaos: rate %v %s/%s: %w", frate, pre.Name(), arb, err)
+		cell := fmt.Sprintf("%v-%s-%s-%s", frate, mode, pre.Name(), arb)
+		rep, _, err := gridCell(g, "on", cell, func(bool) (*serving.Report, []obs.Event, error) {
+			w, err := g.poisson(g.requests(scheme, func(i int) string { return fmt.Sprintf("c%02d", i) }), slots)
+			if err != nil {
+				return nil, nil, err
 			}
-			mode := "none"
-			if recover {
-				mode = "recovery"
-			}
-			cell := fmt.Sprintf("%v-%s-%s-%s", frate, mode, pre.Name(), arb)
-			if err := l.writeCellEvents(cell, rec); err != nil {
-				return nil, err
-			}
-		}
-		return rep, nil
+			return g.runEngine(cell, cfg, w)
+		}, nil)
+		return rep, err
 	}
 
 	out := &Table{

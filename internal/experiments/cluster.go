@@ -1,16 +1,11 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
-	"reflect"
+	"slices"
 	"strings"
 
-	"repro/internal/cache"
 	"repro/internal/cluster"
-	"repro/internal/eval"
-	"repro/internal/hwsim"
-	"repro/internal/model"
 	"repro/internal/serving"
 	"repro/internal/serving/faults"
 	"repro/internal/serving/obs"
@@ -33,79 +28,22 @@ import (
 // count, either decode path; every run's rolled-up report is reconciled
 // against its merged per-node event log.
 func ClusterServe(l *Lab) ([]*Table, error) {
-	name := model.Phi3MedSim
-	m := l.Model(name)
-	toks := l.TestTokens(0)
-	win := l.EvalWin()
-	sessTokens := l.evalTokens() / 4
-	k := 12
-	if l.Scale == model.ScalePaper {
-		k = 24
-	}
-	if l.ServeSmoke {
-		k = 9
-		sessTokens = 2 * win
-	}
-	scheme := sparsity.NewDIPCA(0.5, 0.2)
-	sys := eval.SystemConfig{Device: hwsim.A18Like(), Policy: cache.PolicyLFU, Win: win}
 	const slotsPerNode = 2
-	const quantum = 8
-	maxStream := sessTokens + 2*win
-	svcTicks := (maxStream + quantum - 1) / quantum
 	nodesAxis := []int{1, 3}
 	if l.ServeNodes > 0 {
 		nodesAxis = []int{l.ServeNodes}
 	}
-	maxNodes := 0
-	for _, n := range nodesAxis {
-		if n > maxNodes {
-			maxNodes = n
-		}
-	}
 	// The deadline is sized so the spread cluster attains it while a
 	// hot-spotted node's serial backlog misses from the third wave on.
-	deadline := l.ServeSLO
-	if deadline <= 0 {
-		waves := k / (slotsPerNode * maxNodes)
-		if waves < 1 {
-			waves = 1
+	g := newServingGrid(l, "cluster", 12, 24, 9, slotsPerNode*slices.Max(nodesAxis))
+	scheme := sparsity.NewDIPCA(0.5, 0.2)
+	// Skew: three of four sessions belong to the hot tenant; the rest are
+	// singleton tenants. The router's affinity key is the prefix before '/'.
+	tenantID := func(i int) string {
+		if i%4 != 3 {
+			return fmt.Sprintf("hot/s%02d", i)
 		}
-		deadline = (waves + 2) * svcTicks
-	}
-
-	makeWorkload := func(nodes int) (serving.Workload, error) {
-		reqs := make([]serving.Request, k)
-		for i := range reqs {
-			n := sessTokens + (i%3)*win
-			start := 0
-			if len(toks) > n {
-				start = (i * 997) % (len(toks) - n)
-			}
-			// Skew: three of four sessions belong to the hot tenant; the
-			// rest are singleton tenants. The router's affinity key is the
-			// prefix before '/'.
-			tenant := fmt.Sprintf("t%02d", i)
-			if i%4 != 3 {
-				tenant = "hot"
-			}
-			slo := serving.SLO{Class: "batch"}
-			if i%2 == 0 {
-				slo = serving.SLO{Class: "interactive", Priority: 2, DeadlineTicks: deadline}
-			}
-			reqs[i] = serving.Request{
-				ID:     fmt.Sprintf("%s/s%02d", tenant, i),
-				Scheme: scheme,
-				Tokens: toks[start : start+n],
-				SLO:    slo,
-			}
-		}
-		rate := l.ServeRate
-		if rate <= 0 {
-			// Arrival rate ≈ the cell's aggregate service rate, so every
-			// node count faces the same per-capacity load.
-			rate = float64(nodes*slotsPerNode) / float64(svcTicks)
-		}
-		return serving.PoissonArrivals(reqs, rate, l.ServeSeed+1)
+		return fmt.Sprintf("t%02d/s%02d", i, i)
 	}
 
 	routers := cluster.RouterNames()
@@ -123,73 +61,77 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 		}
 		arbs = []serving.ArbPolicy{a}
 	}
-	fuse := l.ServeFuse
-	if fuse == "" {
-		fuse = "on"
+	fuse, err := l.fuseMode("cluster")
+	if err != nil {
+		return nil, err
 	}
-	if fuse != "on" && fuse != "off" && fuse != "both" {
-		return nil, fmt.Errorf("cluster: unknown -fuse mode %q (on|off|both)", fuse)
+	// The lifecycle replays run on the primary decode path only.
+	single := fuse
+	if fuse == "both" {
+		single = "on"
 	}
 
-	// runScenario replays one seeded trace through a cluster configured for
+	// replay returns a run of the seeded trace through a cluster configured for
 	// the cell, optionally with a drain or failure scripted in. failNode
-	// picks the outage target for the "fail" scenario.
-	runScenario := func(nodes int, routerName string, arb serving.ArbPolicy, noFuse bool, scenario string, failNode int) (*cluster.Report, []obs.Event, error) {
-		router, err := cluster.ParseRouter(routerName)
-		if err != nil {
-			return nil, nil, err
-		}
-		nodeCfgs := make([]serving.Config, nodes)
-		for i := range nodeCfgs {
-			nodeCfgs[i] = serving.Config{
-				System: sys, Arb: arb, Sched: serving.EDF(),
-				MaxActive: slotsPerNode, Quantum: quantum,
-				Seed: l.ServeSeed, NoFuse: noFuse,
+	// picks the outage target for the "fail" scenario. Every run's rolled-up
+	// report is reconciled against its merged event log.
+	replay := func(nodes int, routerName string, arb serving.ArbPolicy, scenario string, failNode int) func(noFuse bool) (*cluster.Report, []obs.Event, error) {
+		return func(noFuse bool) (*cluster.Report, []obs.Event, error) {
+			router, err := cluster.ParseRouter(routerName)
+			if err != nil {
+				return nil, nil, err
 			}
-		}
-		cfg := cluster.Config{
-			Nodes: nodeCfgs, Router: router, Seed: l.ServeSeed,
-			Obs: &obs.Config{Window: l.ServeObsWindow},
-		}
-		switch scenario {
-		case "steady":
-		case "drain":
-			cfg.DrainTick = l.ServeDrainTick
-			if cfg.DrainTick <= 0 {
-				cfg.DrainTick = svcTicks
+			nodeCfgs := make([]serving.Config, nodes)
+			for i := range nodeCfgs {
+				nodeCfgs[i] = g.config(arb, serving.EDF(), slotsPerNode)
+				nodeCfgs[i].NoFuse = noFuse
 			}
-			cfg.DrainNode = nodes - 1
-		case "fail":
-			cfg.Failures = []cluster.Failure{{Node: failNode, Tick: svcTicks / 2, Ticks: svcTicks}}
-		case "chaos-heartbeat", "chaos-oracle", "chaos-off":
-			rt := l.ServeRecoverTicks
-			if rt <= 0 {
-				rt = svcTicks / 2
+			cfg := cluster.Config{
+				Nodes: nodeCfgs, Router: router, Seed: l.ServeSeed,
+				Obs: &obs.Config{Window: l.ServeObsWindow},
 			}
-			cfg.Chaos = faults.NodeChaos{
-				Seed: l.ServeSeed + 2, CrashRate: l.ServeNodeChaos, RecoverTicks: rt,
+			switch scenario {
+			case "steady":
+			case "drain":
+				cfg.DrainTick = l.ServeDrainTick
+				if cfg.DrainTick <= 0 {
+					cfg.DrainTick = g.svcTicks
+				}
+				cfg.DrainNode = nodes - 1
+			case "fail":
+				cfg.Failures = []cluster.Failure{{Node: failNode, Tick: g.svcTicks / 2, Ticks: g.svcTicks}}
+			case "chaos-heartbeat", "chaos-oracle", "chaos-off":
+				rt := l.ServeRecoverTicks
+				if rt <= 0 {
+					rt = g.svcTicks / 2
+				}
+				cfg.Chaos = faults.NodeChaos{
+					Seed: l.ServeSeed + 2, CrashRate: l.ServeNodeChaos, RecoverTicks: rt,
+				}
+				cfg.Detect = cluster.Detect{
+					Mode:        strings.TrimPrefix(scenario, "chaos-"),
+					MissConfirm: l.ServeDetectMiss,
+				}
 			}
-			cfg.Detect = cluster.Detect{
-				Mode:        strings.TrimPrefix(scenario, "chaos-"),
-				MissConfirm: l.ServeDetectMiss,
+			// Arrival rate ≈ the cell's aggregate service rate, so every
+			// node count faces the same per-capacity load.
+			w, err := g.poisson(g.requests(scheme, tenantID), nodes*slotsPerNode)
+			if err != nil {
+				return nil, nil, err
 			}
+			c, err := cluster.New(g.m, cfg, w)
+			if err != nil {
+				return nil, nil, err
+			}
+			rep, err := c.Run()
+			if err != nil {
+				return nil, nil, err
+			}
+			if err := rep.ReconcileObs(); err != nil {
+				return nil, nil, fmt.Errorf("cluster: n%d/%s/%s/%s: %w", nodes, routerName, arb, scenario, err)
+			}
+			return rep, c.Events(), nil
 		}
-		w, err := makeWorkload(nodes)
-		if err != nil {
-			return nil, nil, err
-		}
-		c, err := cluster.New(m, cfg, w)
-		if err != nil {
-			return nil, nil, err
-		}
-		rep, err := c.Run()
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := rep.ReconcileObs(); err != nil {
-			return nil, nil, fmt.Errorf("cluster: n%d/%s/%s/%s: %w", nodes, routerName, arb, scenario, err)
-		}
-		return rep, c.Events(), nil
 	}
 
 	cols := []string{"nodes", "router", "policy", "sessions", "slots",
@@ -197,15 +139,11 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 		"queue_p50_t", "turn_p99_t", "drain_moved", "drain_attain",
 		"fail_migr", "fail_goodput",
 		"detect_lag", "rejoins", "stranded",
-		"chaos_attain", "oracle_attain", "off_attain",
-		"fused", "wall_tok_s"}
-	if fuse == "both" {
-		cols = append(cols, "wall_unfused_tok_s")
-	}
+		"chaos_attain", "oracle_attain", "off_attain"}
 	out := &Table{
 		ID:      "cluster",
 		Title:   "Sim-cluster grid: session routing, drain, and failover across replica engines on a skewed-tenant trace",
-		Columns: cols,
+		Columns: append(cols, fuseColumns(fuse)...),
 	}
 	for _, nodes := range nodesAxis {
 		rs := routers
@@ -216,48 +154,16 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 		}
 		for _, routerName := range rs {
 			for _, arb := range arbs {
-				rep, events, err := runScenario(nodes, routerName, arb, fuse == "off", "steady", 0)
+				cell := fmt.Sprintf("n%d-%s-%s", nodes, routerName, arb)
+				rep, unfusedWall, err := gridCell(g, fuse, cell+"-steady", replay(nodes, routerName, arb, "steady", 0), splitClusterWall)
 				if err != nil {
-					return nil, err
-				}
-				var unfusedWall serving.WallClock
-				if fuse == "both" {
-					unfused, uevents, err := runScenario(nodes, routerName, arb, true, "steady", 0)
-					if err != nil {
-						return nil, err
-					}
-					unfusedWall = unfused.Wall
-					fw := rep.Wall
-					stripClusterWall(rep)
-					stripClusterWall(unfused)
-					if !reflect.DeepEqual(rep, unfused) {
-						return nil, fmt.Errorf("cluster: n%d/%s/%s: fused report diverged from the per-session path",
-							nodes, routerName, arb)
-					}
-					var fb, ub bytes.Buffer
-					if err := obs.WriteJSONL(&fb, events); err != nil {
-						return nil, err
-					}
-					if err := obs.WriteJSONL(&ub, uevents); err != nil {
-						return nil, err
-					}
-					if !bytes.Equal(fb.Bytes(), ub.Bytes()) {
-						return nil, fmt.Errorf("cluster: n%d/%s/%s: merged event log diverged between fused and per-session paths",
-							nodes, routerName, arb)
-					}
-					rep.Wall = fw
-				}
-				if err := l.writeCellEventLog(fmt.Sprintf("n%d-%s-%s-steady", nodes, routerName, arb), events); err != nil {
 					return nil, err
 				}
 				drainMoved, drainAttain := any("-"), any("-")
 				failMigr, failGoodput := any("-"), any("-")
 				if nodes > 1 {
-					drain, devents, err := runScenario(nodes, routerName, arb, fuse == "off", "drain", 0)
+					drain, _, err := gridCell(g, single, cell+"-drain", replay(nodes, routerName, arb, "drain", 0), nil)
 					if err != nil {
-						return nil, err
-					}
-					if err := l.writeCellEventLog(fmt.Sprintf("n%d-%s-%s-drain", nodes, routerName, arb), devents); err != nil {
 						return nil, err
 					}
 					drainMoved, drainAttain = drain.Migrations+drain.Requeues, drain.SLOAttainRate
@@ -271,11 +177,8 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 							hottest = n
 						}
 					}
-					fail, fevents, err := runScenario(nodes, routerName, arb, fuse == "off", "fail", hottest)
+					fail, _, err := gridCell(g, single, cell+"-fail", replay(nodes, routerName, arb, "fail", hottest), nil)
 					if err != nil {
-						return nil, err
-					}
-					if err := l.writeCellEventLog(fmt.Sprintf("n%d-%s-%s-fail", nodes, routerName, arb), fevents); err != nil {
 						return nil, err
 					}
 					failMigr, failGoodput = fail.Migrations, fail.Goodput
@@ -288,18 +191,15 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 					// heartbeat run is the measured system, the zero-lag
 					// oracle bounds it from above, and the detector-off run
 					// (stranded work frozen until restart) from below.
-					hb, cevents, err := runScenario(nodes, routerName, arb, fuse == "off", "chaos-heartbeat", 0)
+					hb, _, err := gridCell(g, single, cell+"-chaos", replay(nodes, routerName, arb, "chaos-heartbeat", 0), nil)
 					if err != nil {
 						return nil, err
 					}
-					if err := l.writeCellEventLog(fmt.Sprintf("n%d-%s-%s-chaos", nodes, routerName, arb), cevents); err != nil {
-						return nil, err
-					}
-					oracle, _, err := runScenario(nodes, routerName, arb, fuse == "off", "chaos-oracle", 0)
+					oracle, _, err := replay(nodes, routerName, arb, "chaos-oracle", 0)(fuse == "off")
 					if err != nil {
 						return nil, err
 					}
-					offRep, _, err := runScenario(nodes, routerName, arb, fuse == "off", "chaos-off", 0)
+					offRep, _, err := replay(nodes, routerName, arb, "chaos-off", 0)(fuse == "off")
 					if err != nil {
 						return nil, err
 					}
@@ -311,18 +211,14 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 					rep.QueueP50, rep.TurnaroundP99, drainMoved, drainAttain,
 					failMigr, failGoodput,
 					detectLag, rejoins, stranded,
-					chaosAttain, oracleAttain, offAttain,
-					fuse, rep.Wall.TokS}
-				if fuse == "both" {
-					row = append(row, unfusedWall.TokS)
-				}
-				out.AddRow(row...)
+					chaosAttain, oracleAttain, offAttain}
+				out.AddRow(append(row, fuseCells(fuse, rep.Wall, unfusedWall)...)...)
 			}
 		}
 	}
 	out.Notes = append(out.Notes,
 		"every column except wall_tok_s runs on the shared simulated tick clock and is bit-identical for a fixed -seed, any worker count, fused or per-session decode",
-		fmt.Sprintf("the trace is tenant-skewed (3 of 4 sessions share one tenant); interactive sessions carry priority 2 and a %d-tick deadline (dipbench -slo overrides)", deadline),
+		fmt.Sprintf("the trace is tenant-skewed (3 of 4 sessions share one tenant); interactive sessions carry priority 2 and a %d-tick deadline (dipbench -slo overrides)", g.deadline),
 		"imbalance is max/mean per-node placements (1.0 = perfect spread); the session-affine hash router concentrates the hot tenant on one node by design",
 		"drain_* replays the cell's trace with the last node administratively drained mid-run: placements stop, its queue moves to survivors (drain_moved counts migrations + fresh re-routes), active sessions finish locally",
 		"fail_* replays it with the steady run's most-loaded node failing mid-run: active sessions are evacuated and fail over with their stream and cache state carried to surviving nodes (fail_migr counts live-stream migrations)",
@@ -337,14 +233,4 @@ func ClusterServe(l *Lab) ([]*Table, error) {
 			"with -events each scenario wrote <prefix>-n<N>-<router>-<arb>-<scenario> merged event logs (node field disambiguates replicas)")
 	}
 	return []*Table{out}, nil
-}
-
-// stripClusterWall zeroes the host-measured annotations on a cluster report
-// so the fused/per-session determinism check compares only the simulated
-// state.
-func stripClusterWall(rep *cluster.Report) {
-	rep.Wall = serving.WallClock{}
-	for i := range rep.Nodes {
-		rep.Nodes[i].Report.Wall = serving.WallClock{}
-	}
 }

@@ -1,14 +1,9 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"os"
-	"reflect"
 
-	"repro/internal/cache"
-	"repro/internal/eval"
-	"repro/internal/hwsim"
 	"repro/internal/model"
 	"repro/internal/serving"
 	"repro/internal/serving/faults"
@@ -29,21 +24,6 @@ import (
 // under contention) and is bit-identical for a fixed -seed; host wall
 // throughput rides along as the final annotation column.
 func Serve(l *Lab) ([]*Table, error) {
-	name := model.Phi3MedSim
-	m := l.Model(name)
-	toks := l.TestTokens(0)
-	win := l.EvalWin()
-	sessTokens := l.evalTokens() / 4
-	k := 8
-	if l.Scale == model.ScalePaper {
-		k = 16
-	}
-	if l.ServeSmoke {
-		k = 6
-		sessTokens = 2 * win
-	}
-	scheme := sparsity.NewDIPCA(0.5, 0.2)
-	sys := eval.SystemConfig{Device: hwsim.A18Like(), Policy: cache.PolicyLFU, Win: win}
 	// Batch width is a serving-policy knob, not a host property: capping it
 	// below the session count exercises queueing and slot backfill, while
 	// the wall-clock fan-out inside a tick is still bounded by the worker
@@ -52,27 +32,10 @@ func Serve(l *Lab) ([]*Table, error) {
 	if l.Scale == model.ScalePaper {
 		slotCap = 8
 	}
-	slots := k
-	if slots > slotCap {
-		slots = slotCap
-	}
-	const quantum = 8
-	// svcTicks bounds one session's pure decode time (the longest stream at
-	// quantum tokens per tick); arrival rates, think times, and the default
-	// deadline are expressed in these service units so the scenario scales
-	// with -scale and -small.
-	maxStream := sessTokens + 2*win
-	svcTicks := (maxStream + quantum - 1) / quantum
-	deadline := l.ServeSLO
-	if deadline <= 0 {
-		// Generous: enough for a full wave of queueing ahead of you.
-		deadline = (k/slots + 2) * svcTicks
-	}
+	g := newServingGrid(l, "serve", 8, 16, 6, slotCap)
+	slots := min(g.k, slotCap)
+	scheme := sparsity.NewDIPCA(0.5, 0.2)
 
-	// Session i decodes its own slice of the test split; lengths vary by up
-	// to two windows so slots free at different ticks and continuous
-	// batching has something to backfill. Even submissions are interactive
-	// (priority 2, deadlined), odd are batch (best effort).
 	// The trace file is loaded once; the grid re-binds the parsed entries
 	// per cell (each engine consumes its own workload cursor).
 	var traceEntries []serving.TraceEntry
@@ -93,52 +56,24 @@ func Serve(l *Lab) ([]*Table, error) {
 	}
 
 	makeReqs := func() []serving.Request {
-		reqs := make([]serving.Request, k)
-		for i := range reqs {
-			n := sessTokens + (i%3)*win
-			start := 0
-			if len(toks) > n {
-				start = (i * 997) % (len(toks) - n)
-			}
-			slo := serving.SLO{Class: "batch"}
-			if i%2 == 0 {
-				slo = serving.SLO{Class: "interactive", Priority: 2, DeadlineTicks: deadline}
-			}
-			reqs[i] = serving.Request{
-				ID:     fmt.Sprintf("s%02d", i),
-				Scheme: scheme,
-				Tokens: toks[start : start+n],
-				SLO:    slo,
-			}
-		}
-		return reqs
+		return g.requests(scheme, func(i int) string { return fmt.Sprintf("s%02d", i) })
 	}
 	newWorkload := func(kind string) (serving.Workload, error) {
 		switch kind {
 		case "fixed":
 			return serving.FixedBatch(makeReqs()), nil
 		case "poisson":
-			rate := l.ServeRate
-			if rate <= 0 {
-				// Arrival rate ≈ aggregate service rate: enough load to form
-				// queues without unbounded backlog.
-				rate = float64(slots) / float64(svcTicks)
-			}
-			return serving.PoissonArrivals(makeReqs(), rate, l.ServeSeed+1)
+			return g.poisson(makeReqs(), slots)
 		case "closed":
-			users := slots
-			if users < 2 {
-				users = 2
-			}
-			reqs := makeReqs()
+			users := max(slots, 2)
 			scripts := make([][]serving.Request, users)
-			for i, r := range reqs {
+			for i, r := range makeReqs() {
 				scripts[i%users] = append(scripts[i%users], r)
 			}
-			return serving.ClosedLoop(scripts, svcTicks/2)
+			return serving.ClosedLoop(scripts, g.svcTicks/2)
 		case "trace":
 			return serving.TraceWorkload(traceEntries, serving.TraceBinder{
-				Corpus: toks,
+				Corpus: g.toks,
 				Scheme: func(name string) (sparsity.Scheme, error) {
 					switch name {
 					case "", "dipca":
@@ -187,12 +122,9 @@ func Serve(l *Lab) ([]*Table, error) {
 		arbs = []serving.ArbPolicy{a}
 	}
 
-	fuse := l.ServeFuse
-	if fuse == "" {
-		fuse = "on"
-	}
-	if fuse != "on" && fuse != "off" && fuse != "both" {
-		return nil, fmt.Errorf("serve: unknown -fuse mode %q (on|off|both)", fuse)
+	fuse, err := l.fuseMode("serve")
+	if err != nil {
+		return nil, err
 	}
 	cols := []string{"workload", "sched", "preempt", "policy", "sessions", "slots",
 		"sim_tok_s", "goodput", "hit_rate", "mean_ppl", "p50_lat_ms", "p99_lat_ms",
@@ -204,17 +136,14 @@ func Serve(l *Lab) ([]*Table, error) {
 		// stay the trailing columns the determinism checks strip.
 		cols = append(cols, "win_tok_t", "win_q_depth")
 	}
-	cols = append(cols, "fused", "wall_tok_s")
-	if fuse == "both" {
-		cols = append(cols, "wall_unfused_tok_s")
-	}
 	out := &Table{
 		ID:      "serve",
 		Title:   "Workload grid: DIP-CA sessions, SLO classes, and pluggable schedulers under a shared cache budget (LFU, A18-class device)",
-		Columns: cols,
+		Columns: append(cols, fuseColumns(fuse)...),
 	}
-	// Wall-throughput aggregates for the fuse-comparison summary table.
-	var fusedTokens, unfusedTokens int
+	// Wall-throughput aggregates for the fuse-comparison summary table; the
+	// differential guarantees both paths decode the same tokens.
+	var tokens int
 	var fusedSeconds, unfusedSeconds float64
 	// -faults threads the seeded chaos plan through every grid cell; the
 	// cells stay bit-identical for a fixed seed because fault draws are pure
@@ -227,83 +156,28 @@ func Serve(l *Lab) ([]*Table, error) {
 		}
 		plan = p
 	}
-	runCell := func(kind string, sched serving.Scheduler, pre serving.Preemptor, arb serving.ArbPolicy, noFuse bool) (*serving.Report, *obs.Recorder, error) {
-		w, err := newWorkload(kind)
-		if err != nil {
-			return nil, nil, err
-		}
-		rec := l.obsRecorder()
-		e, err := serving.NewEngine(m, serving.Config{
-			System: sys, Arb: arb, Sched: sched, Preempt: pre,
-			MaxActive: slots, Quantum: quantum, Seed: l.ServeSeed, NoFuse: noFuse,
-			Faults: plan, Retry: faults.RetryPolicy{MaxAttempts: l.ServeRetry},
-			ShedQueueBudget: l.ServeShed, Degrade: l.ServeShed > 0,
-			Obs: rec,
-		}, w)
-		if err != nil {
-			return nil, nil, err
-		}
-		rep, err := e.Run()
-		if err != nil {
-			return nil, nil, err
-		}
-		if rec != nil {
-			// The reconciliation invariant is cheap; holding it on every
-			// cell means an exported event log always sums to the report
-			// beside it.
-			if err := rep.ReconcileObs(); err != nil {
-				return nil, nil, fmt.Errorf("serve: %s/%s/%s/%s: %w", kind, sched.Name(), pre.Name(), arb, err)
-			}
-		}
-		return rep, rec, nil
-	}
 	for _, kind := range workloads {
 		for _, sched := range scheds {
 			for _, pre := range preempts {
 				for _, arb := range arbs {
-					rep, rec, err := runCell(kind, sched, pre, arb, fuse == "off")
+					cell := fmt.Sprintf("%s-%s-%s-%s", kind, sched.Name(), pre.Name(), arb)
+					rep, unfusedWall, err := gridCell(g, fuse, cell, func(noFuse bool) (*serving.Report, []obs.Event, error) {
+						w, err := newWorkload(kind)
+						if err != nil {
+							return nil, nil, err
+						}
+						cfg := g.config(arb, sched, slots)
+						cfg.Preempt, cfg.NoFuse, cfg.Faults = pre, noFuse, plan
+						cfg.Retry = faults.RetryPolicy{MaxAttempts: l.ServeRetry}
+						cfg.ShedQueueBudget, cfg.Degrade = l.ServeShed, l.ServeShed > 0
+						return g.runEngine(cell, cfg, w)
+					}, splitWall)
 					if err != nil {
 						return nil, err
 					}
-					var unfusedWall serving.WallClock
-					if fuse == "both" {
-						unfused, urec, err := runCell(kind, sched, pre, arb, true)
-						if err != nil {
-							return nil, err
-						}
-						// The fused path's whole contract: apart from the wall
-						// annotation, both reports must be bit-identical.
-						unfusedWall = unfused.Wall
-						fw, uw := rep.Wall, unfused.Wall
-						rep.Wall, unfused.Wall = serving.WallClock{}, serving.WallClock{}
-						if !reflect.DeepEqual(rep, unfused) {
-							return nil, fmt.Errorf("serve: %s/%s/%s/%s: fused report diverged from the per-session path",
-								kind, sched.Name(), pre.Name(), arb)
-						}
-						rep.Wall, unfused.Wall = fw, uw
-						if rec != nil {
-							// Stronger than the report check: the full event
-							// stream must match byte for byte too.
-							var fb, ub bytes.Buffer
-							if err := obs.WriteJSONL(&fb, rec.Events()); err != nil {
-								return nil, err
-							}
-							if err := obs.WriteJSONL(&ub, urec.Events()); err != nil {
-								return nil, err
-							}
-							if !bytes.Equal(fb.Bytes(), ub.Bytes()) {
-								return nil, fmt.Errorf("serve: %s/%s/%s/%s: event log diverged between fused and per-session paths",
-									kind, sched.Name(), pre.Name(), arb)
-							}
-						}
-						fusedTokens += rep.TotalTokens
-						fusedSeconds += fw.Seconds
-						unfusedTokens += unfused.TotalTokens
-						unfusedSeconds += uw.Seconds
-					}
-					if err := l.writeCellEvents(fmt.Sprintf("%s-%s-%s-%s", kind, sched.Name(), pre.Name(), arb), rec); err != nil {
-						return nil, err
-					}
+					tokens += rep.TotalTokens
+					fusedSeconds += rep.Wall.Seconds
+					unfusedSeconds += unfusedWall.Seconds
 					var ppl float64
 					ok := 0
 					for _, sm := range rep.Sessions {
@@ -323,11 +197,7 @@ func Serve(l *Lab) ([]*Table, error) {
 					if l.obsTracing() {
 						row = append(row, rep.Obs.TokensPerTick, rep.Obs.MeanQueueDepth)
 					}
-					row = append(row, fuse, rep.Wall.TokS)
-					if fuse == "both" {
-						row = append(row, unfusedWall.TokS)
-					}
-					out.AddRow(row...)
+					out.AddRow(append(row, fuseCells(fuse, rep.Wall, unfusedWall)...)...)
 				}
 			}
 		}
@@ -339,7 +209,7 @@ func Serve(l *Lab) ([]*Table, error) {
 	for _, kind := range workloads {
 		if kind != "trace" {
 			out.Notes = append(out.Notes, fmt.Sprintf(
-				"generated interactive sessions carry priority 2 and a %d-tick deadline; batch sessions are best-effort (dipbench -slo overrides)", deadline))
+				"generated interactive sessions carry priority 2 and a %d-tick deadline; batch sessions are best-effort (dipbench -slo overrides)", g.deadline))
 			break
 		}
 	}
@@ -368,10 +238,10 @@ func Serve(l *Lab) ([]*Table, error) {
 		}
 		ft, ut := 0.0, 0.0
 		if fusedSeconds > 0 {
-			ft = float64(fusedTokens) / fusedSeconds
+			ft = float64(tokens) / fusedSeconds
 		}
 		if unfusedSeconds > 0 {
-			ut = float64(unfusedTokens) / unfusedSeconds
+			ut = float64(tokens) / unfusedSeconds
 		}
 		speedup := 0.0
 		if ut > 0 {
