@@ -105,7 +105,7 @@ func run() int {
 		scale      = flag.String("scale", "paper", "paper | test")
 		ckpt       = flag.String("ckpt", "", "checkpoint directory (shared with diptrain)")
 		outDir     = flag.String("out", "", "write each experiment's tables to <out>/<id>.txt as well as stdout")
-		csvOut     = flag.Bool("csv", false, "also write <out>/<id>-<table>.csv for plotting")
+		csvOut     = flag.Bool("csv", false, "also write <out>/<table>.csv for plotting (needs -out)")
 		verbose    = flag.Bool("v", true, "log lab progress to stderr")
 		procs      = flag.Int("procs", 0, "worker-pool size (0 = GOMAXPROCS / $REPRO_PROCS; 1 = serial)")
 		serve      = flag.Bool("serve", false, "run the multi-stream serving scenario (shorthand for -exp serve)")
@@ -325,6 +325,10 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "dipbench: -slo does not apply to traces — deadlines come from the file's deadline_ticks column")
 		return 2
 	}
+	if *csvOut && *outDir == "" {
+		fmt.Fprintln(os.Stderr, "dipbench: -csv writes <out>/<table>.csv files; add -out DIR")
+		return 2
+	}
 	if *exp == "" {
 		fmt.Fprintln(os.Stderr, "dipbench: -exp required (try -list)")
 		return 2
@@ -409,16 +413,11 @@ func run() int {
 			if sink != nil {
 				tab.Render(sink)
 			}
-			if *csvOut && *outDir != "" {
-				f, err := os.Create(filepath.Join(*outDir, tab.ID+".csv"))
-				if err != nil {
+			if *csvOut {
+				if err := writeCSV(filepath.Join(*outDir, tab.ID+".csv"), tab); err != nil {
 					sink.Close()
 					return fail("%v", err)
 				}
-				if err := tab.RenderCSV(f); err != nil {
-					fmt.Fprintf(os.Stderr, "dipbench: %v\n", err)
-				}
-				f.Close()
 			}
 			bt := benchTable{ID: tab.ID, Rows: len(tab.Rows)}
 			if len(tab.Rows) > 0 {
@@ -433,7 +432,9 @@ func run() int {
 			res.Tables = append(res.Tables, bt)
 		}
 		if sink != nil {
-			sink.Close()
+			if err := sink.Close(); err != nil {
+				return fail("%v", err)
+			}
 		}
 		report.Results = append(report.Results, res)
 		fmt.Fprintf(os.Stderr, "dipbench: %s done in %v\n", id, elapsed.Round(time.Millisecond))
@@ -454,6 +455,20 @@ func run() int {
 		f.Close()
 	}
 	return 0
+}
+
+// writeCSV writes one table's CSV file; a render or close error fails the
+// run rather than leaving a truncated artifact behind a zero exit.
+func writeCSV(path string, tab *experiments.Table) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := tab.RenderCSV(f); err != nil {
+		f.Close()
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return f.Close()
 }
 
 // writeReport emits BENCH_results.json. An explicit -json path wins; with
