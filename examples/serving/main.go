@@ -154,10 +154,12 @@ func main() {
 		}
 	}
 
-	// 5. The decode path itself: by default the engine fuses each tick's
-	//    active sessions into multi-RHS tensor ops (every weight matrix is
-	//    walked once per tick, not once per session). NoFuse steps sessions
-	//    independently — same bit-identical report, different wall clock.
+	// 5. The decode path itself: each tick the engine runs one loop of
+	//    token sub-steps over the active sessions, by default fusing them
+	//    into multi-RHS tensor ops (every weight matrix is walked once per
+	//    sub-step, not once per session). NoFuse steps each session on its
+	//    own, fanned over the worker pool, inside the same loop — same
+	//    bit-identical report, different wall clock.
 	//    The fusion win grows with the model's matrix sizes; at this demo
 	//    scale the matrices are cache-resident, so expect rough parity.
 	fmt.Println("\n== fused vs per-session decode (identical reports, wall clock differs) ==")
