@@ -47,9 +47,9 @@ type servingGrid struct {
 func newServingGrid(l *Lab, id string, k, kPaper, kSmoke, capacity int) *servingGrid {
 	win := l.EvalWin()
 	g := &servingGrid{
-		l: l, id: id, m: l.Model(model.Phi3MedSim), toks: l.TestTokens(0), win: win,
-		sys: eval.SystemConfig{Device: hwsim.A18Like(), Policy: cache.PolicyLFU, Win: win},
-		k:   k, sessTokens: l.evalTokens() / 4,
+		l: l, id: id, m: l.Model(model.Phi3MedSim), toks: l.TestTokens(0), win: win, k: k,
+		sys:        eval.SystemConfig{Device: hwsim.A18Like(), Policy: cache.PolicyLFU, Win: win},
+		sessTokens: l.evalTokens() / 4,
 	}
 	if l.Scale == model.ScalePaper {
 		g.k = kPaper
