@@ -333,10 +333,8 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "dipbench: -exp required (try -list)")
 		return 2
 	}
-	sc := model.ScalePaper
-	if *scale == "test" {
-		sc = model.ScaleTest
-	} else if *scale != "paper" {
+	sc, ok := model.ParseScale(*scale)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "dipbench: unknown scale %q\n", *scale)
 		return 2
 	}

@@ -25,6 +25,10 @@ import (
 )
 
 func main() {
+	os.Exit(run())
+}
+
+func run() int {
 	var (
 		name    = flag.String("model", model.Mistral7BSim, "model analog name")
 		density = flag.Float64("density", 0.5, "target MLP density")
@@ -35,9 +39,14 @@ func main() {
 		ckpt    = flag.String("ckpt", "", "checkpoint directory")
 	)
 	flag.Parse()
-	sc := model.ScalePaper
-	if *scale == "test" {
-		sc = model.ScaleTest
+	sc, ok := model.ParseScale(*scale)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "dipsim: unknown scale %q (want paper or test)\n", *scale)
+		return 2
+	}
+	if _, err := model.ConfigFor(*name, sc); err != nil {
+		fmt.Fprintf(os.Stderr, "dipsim: unknown model %q (known: %s)\n", *name, strings.Join(append(model.AnalogNames(), model.ReluFiedSim), ", "))
+		return 2
 	}
 	lab := experiments.NewLab(sc)
 	lab.CheckpointDir = *ckpt
@@ -68,13 +77,14 @@ func main() {
 				})
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "dipsim: %v\n", err)
-					os.Exit(1)
+					return 1
 				}
 				fmt.Printf("%-10.2f %-8.1e %-8s %-8.3f %-10.3f %-10.4f %-8.3f\n",
 					df, fb, pol, pt.PPL, pt.Throughput, pt.LatencyS, pt.HitRate)
 			}
 		}
 	}
+	return 0
 }
 
 func parseFloats(s string) []float64 {

@@ -19,19 +19,31 @@ import (
 )
 
 func main() {
+	os.Exit(run())
+}
+
+func run() int {
 	var (
 		ckpt   = flag.String("ckpt", "checkpoints", "checkpoint directory")
 		scale  = flag.String("scale", "paper", "paper | test")
 		models = flag.String("models", "", "comma-separated analog names (default: all)")
 	)
 	flag.Parse()
-	sc := model.ScalePaper
-	if *scale == "test" {
-		sc = model.ScaleTest
+	sc, ok := model.ParseScale(*scale)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "diptrain: unknown scale %q (want paper or test)\n", *scale)
+		return 2
 	}
-	names := append(model.AnalogNames(), model.ReluFiedSim)
+	known := append(model.AnalogNames(), model.ReluFiedSim)
+	names := known
 	if *models != "" {
 		names = strings.Split(*models, ",")
+	}
+	for _, name := range names {
+		if _, err := model.ConfigFor(name, sc); err != nil {
+			fmt.Fprintf(os.Stderr, "diptrain: unknown model %q (known: %s)\n", name, strings.Join(known, ", "))
+			return 2
+		}
 	}
 	lab := experiments.NewLab(sc)
 	lab.CheckpointDir = *ckpt
@@ -46,6 +58,7 @@ func main() {
 			time.Since(start).Round(time.Millisecond)) //lint:allow wallclock training progress annotation; checkpoints and ppl are seed-deterministic
 	}
 	fmt.Printf("checkpoints in %s\n", *ckpt)
+	return 0
 }
 
 func paramCount(m *model.Model) int {

@@ -4,7 +4,9 @@
 // by a configurable policy — LRU, LFU, the clairvoyant Belady oracle, or no
 // caching at all. The cache exposes the sparsity.CacheView interface so
 // DIP-CA can bias its masks toward resident units, and reports hit/miss
-// unit counts so the hardware simulator can price each token.
+// unit counts so the hardware simulator can price each token. Every policy
+// keeps its evictable units in one indexed min-heap, so a miss or a hit
+// costs O(log capacity) rather than a scan over the group's units.
 package cache
 
 import (
@@ -71,15 +73,20 @@ type GroupCache struct {
 	resident []bool
 	count    int
 
-	clock   int64
-	lastUse []int64 // LRU
-	freq    []int64 // LFU
+	// key[u] orders u for eviction: the resident unit with the smallest
+	// (key[u], u) is the victim, so equal keys evict the lowest index. LRU
+	// stores the last-use clock stamp, FIFO the insertion stamp, LFU and
+	// LFU-aged the use count (kept for non-resident units too), and Belady
+	// the negated next use, stamped when u enters the heap.
+	clock int64
+	key   []int64
 
-	// inflight[u] == clock marks u as part of the access being processed,
-	// giving pickVictim an O(1) protection check instead of scanning the
-	// current unit list per candidate (the dominant cost of cache-coupled
-	// evaluation before this existed).
-	inflight []int64
+	// heap is a binary min-heap over (key, unit) of the resident units
+	// that may be evicted, and pos[u] is u's index in it or -1. During an
+	// access the accessed units are out of the heap, which is what protects
+	// them from eviction; the heap holds at most capacity units.
+	heap []int32
+	pos  []int32
 
 	// Belady state: for each unit, the (ascending) positions in the access
 	// stream where it is used, and a cursor into that list.
@@ -102,14 +109,18 @@ func NewGroupCache(policy Policy, capacity, nunits int) *GroupCache {
 	if policy == PolicyNone {
 		capacity = 0
 	}
+	pos := make([]int32, nunits)
+	for i := range pos {
+		pos[i] = -1
+	}
 	return &GroupCache{
 		policy:   policy,
 		capacity: capacity,
 		nunits:   nunits,
 		resident: make([]bool, nunits),
-		lastUse:  make([]int64, nunits),
-		freq:     make([]int64, nunits),
-		inflight: make([]int64, nunits),
+		key:      make([]int64, nunits),
+		heap:     make([]int32, 0, capacity),
+		pos:      pos,
 	}
 }
 
@@ -165,34 +176,62 @@ func (g *GroupCache) AccessSparse(units []int) (hits, misses int) {
 		g.stats.Misses += int64(len(units))
 		return 0, len(units)
 	}
-	g.clock++
-	g.maybeAge()
+	g.begin(units)
 	for _, u := range units {
-		g.inflight[u] = g.clock
-	}
-	for _, u := range units {
-		g.freq[u]++
-		if g.policy != PolicyFIFO {
-			g.lastUse[u] = g.clock
-		}
-		if g.resident[u] {
+		if g.touch(u) {
 			hits++
-			continue
+		} else {
+			misses++
 		}
-		misses++
-		g.insert(u)
 	}
+	g.end(units)
 	g.stats.Hits += int64(hits)
 	g.stats.Misses += int64(misses)
-	if g.policy == PolicyBelady {
-		g.syncPos++
-	}
 	return hits, misses
 }
 
-// insert makes u resident, evicting per policy when full. Units of the
-// in-flight access (stamped with the current clock) are protected from
-// eviction — they are needed this token.
+// begin opens a sparse access: it advances the clock, ages LFU-aged counts,
+// and takes the accessed units that are resident out of the heap so that
+// no miss of this token can evict them.
+func (g *GroupCache) begin(units []int) {
+	g.clock++
+	g.maybeAge()
+	for _, u := range units {
+		if g.pos[u] >= 0 {
+			g.heapRemove(u)
+		}
+	}
+}
+
+// touch applies one accessed unit and reports whether it hit.
+func (g *GroupCache) touch(u int) bool {
+	switch g.policy {
+	case PolicyLRU:
+		g.key[u] = g.clock
+	case PolicyLFU, PolicyLFUAged:
+		g.key[u]++
+	}
+	if g.resident[u] {
+		return true
+	}
+	g.insert(u)
+	return false
+}
+
+// end closes a sparse access: every accessed unit that is resident becomes
+// evictable again.
+func (g *GroupCache) end(units []int) {
+	for _, u := range units {
+		if g.resident[u] && g.pos[u] < 0 {
+			g.heapPush(u)
+		}
+	}
+	if g.policy == PolicyBelady {
+		g.syncPos++
+	}
+}
+
+// insert makes u resident, evicting per policy when full.
 func (g *GroupCache) insert(u int) {
 	if g.count < g.capacity {
 		g.resident[u] = true
@@ -200,78 +239,46 @@ func (g *GroupCache) insert(u int) {
 		g.noteInsert(u)
 		return
 	}
-	victim := g.pickVictim()
+	victim := g.victim()
 	if victim < 0 {
 		// Everything resident is needed this token; bypass the cache for u
 		// (the paper's low-density regime where active neurons exceed the
 		// cache and are loaded straight to the processing unit).
 		return
 	}
-	if g.policy == PolicyBelady && g.nextUse(u) >= g.nextUse(victim) {
+	if g.policy == PolicyBelady && int64(g.nextUse(u)) >= -g.key[victim] {
 		// Optimal-with-bypass: the incoming unit is needed again no sooner
 		// than the best victim, so caching it cannot help — stream it to
 		// the processing unit and keep the cache contents.
 		return
 	}
+	g.heapRemove(victim)
 	g.resident[victim] = false
 	g.resident[u] = true
 	g.noteInsert(u)
 	g.stats.Evictions++
 }
 
-// pickVictim returns the resident unit to evict, or -1 when every resident
-// unit is in the current access set.
-func (g *GroupCache) pickVictim() int {
-	inFlight := func(v int) bool { return g.inflight[v] == g.clock }
-	best := -1
-	switch g.policy {
-	case PolicyLRU, PolicyFIFO:
-		// For FIFO, lastUse holds the insertion stamp (never refreshed on
-		// hits), so the same minimum-stamp scan implements both.
-		var bestUse int64 = 1<<62 - 1
-		for v := 0; v < g.nunits; v++ {
-			if g.resident[v] && !inFlight(v) && g.lastUse[v] < bestUse {
-				best, bestUse = v, g.lastUse[v]
-			}
-		}
-	case PolicyLFU, PolicyLFUAged:
-		var bestFreq int64 = 1<<62 - 1
-		for v := 0; v < g.nunits; v++ {
-			if g.resident[v] && !inFlight(v) && g.freq[v] < bestFreq {
-				best, bestFreq = v, g.freq[v]
-			}
-		}
-	case PolicyBelady:
-		var bestNext int32 = -1
-		for v := 0; v < g.nunits; v++ {
-			if g.resident[v] && !inFlight(v) {
-				if nu := g.nextUse(v); nu > bestNext {
-					best, bestNext = v, nu
-				}
-			}
-		}
-	default:
-		for v := 0; v < g.nunits; v++ {
-			if g.resident[v] && !inFlight(v) {
-				return v
-			}
-		}
+// victim returns the resident unit the next miss would evict, or -1 when
+// every resident unit is in the current access.
+func (g *GroupCache) victim() int {
+	if len(g.heap) == 0 {
+		return -1
 	}
-	return best
+	return int(g.heap[0])
 }
 
 // AccessDense processes a token that reads every unit of the group. Dense
 // groups behave like statically pinned weights: the first access fills the
-// cache to capacity with units 0..capacity-1 and later accesses hit on the
-// pinned set — no churn, because evicting under a cyclic full scan can
+// cache to capacity with the lowest-index units and later accesses hit on
+// the pinned set — no churn, because evicting under a cyclic full scan can
 // never help.
 func (g *GroupCache) AccessDense() (hits, misses int) {
-	if g.count < g.capacity {
-		for u := 0; u < g.capacity; u++ {
-			if !g.resident[u] {
-				g.resident[u] = true
-				g.count++
-			}
+	for u := 0; u < g.nunits && g.count < g.capacity; u++ {
+		if !g.resident[u] {
+			g.resident[u] = true
+			g.count++
+			g.heapPush(u)
 		}
 	}
 	hits = g.count
@@ -282,6 +289,86 @@ func (g *GroupCache) AccessDense() (hits, misses int) {
 		g.syncPos++
 	}
 	return hits, misses
+}
+
+// heapPush makes resident unit u evictable. A Belady unit's key is its
+// next use, which cannot go stale while u stays in the heap: the replay
+// follows the recorded trace, so u leaves the heap (as an accessed unit)
+// at exactly that position.
+func (g *GroupCache) heapPush(u int) {
+	if g.policy == PolicyBelady {
+		g.key[u] = -int64(g.nextUse(u))
+	}
+	i := len(g.heap)
+	g.heap = append(g.heap, int32(u))
+	g.pos[u] = int32(i)
+	g.up(i)
+}
+
+// heapRemove takes unit u, which must be in the heap, out of it.
+func (g *GroupCache) heapRemove(u int) {
+	i := int(g.pos[u])
+	last := len(g.heap) - 1
+	if i != last {
+		g.swap(i, last)
+	}
+	g.heap = g.heap[:last]
+	g.pos[u] = -1
+	if i != last && !g.down(i) {
+		g.up(i)
+	}
+}
+
+// heapify restores the heap order after keys changed in bulk.
+func (g *GroupCache) heapify() {
+	for i := len(g.heap)/2 - 1; i >= 0; i-- {
+		g.down(i)
+	}
+}
+
+// less orders heap slots by (key, unit).
+func (g *GroupCache) less(i, j int) bool {
+	a, b := g.heap[i], g.heap[j]
+	ka, kb := g.key[a], g.key[b]
+	return ka < kb || ka == kb && a < b
+}
+
+func (g *GroupCache) swap(i, j int) {
+	h := g.heap
+	h[i], h[j] = h[j], h[i]
+	g.pos[h[i]] = int32(i)
+	g.pos[h[j]] = int32(j)
+}
+
+func (g *GroupCache) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !g.less(i, p) {
+			return
+		}
+		g.swap(i, p)
+		i = p
+	}
+}
+
+// down sifts slot i toward the leaves and reports whether it moved.
+func (g *GroupCache) down(i int) bool {
+	start, n := i, len(g.heap)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && g.less(r, c) {
+			c = r
+		}
+		if !g.less(c, i) {
+			break
+		}
+		g.swap(i, c)
+		i = c
+	}
+	return i > start
 }
 
 // ModelCache is the full per-layer, per-group cache hierarchy for one

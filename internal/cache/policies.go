@@ -19,16 +19,16 @@ const (
 // PolicyLFUAged.
 const AgingPeriod = 256
 
-// fifoState augments GroupCache for insertion-order tracking. To keep the
-// core struct small, FIFO reuses lastUse as the insertion stamp: the stamp
-// is written only on insert, never on hit.
+// noteInsert stamps a FIFO unit's key with its insertion time; hits never
+// refresh it.
 func (g *GroupCache) noteInsert(u int) {
 	if g.policy == PolicyFIFO {
-		g.lastUse[u] = g.clock
+		g.key[u] = g.clock
 	}
 }
 
-// maybeAge halves all frequency counters once per aging period.
+// maybeAge halves all use counts once per aging period. Halving can tie
+// counts that were ordered, so the heap is rebuilt.
 func (g *GroupCache) maybeAge() {
 	if g.policy != PolicyLFUAged {
 		return
@@ -36,7 +36,8 @@ func (g *GroupCache) maybeAge() {
 	if g.clock%AgingPeriod != 0 {
 		return
 	}
-	for i := range g.freq {
-		g.freq[i] /= 2
+	for i := range g.key {
+		g.key[i] /= 2
 	}
+	g.heapify()
 }

@@ -64,9 +64,10 @@ func TestNewPolicyNames(t *testing.T) {
 }
 
 // Property: for every policy, the resident count never exceeds capacity
-// and hits+misses equals the number of accessed units.
+// and hits+misses equals the number of accessed units. Belady replays the
+// stream it was given as its trace.
 func TestCacheInvariants(t *testing.T) {
-	policies := []Policy{PolicyNone, PolicyLRU, PolicyLFU, PolicyFIFO, PolicyLFUAged}
+	policies := []Policy{PolicyNone, PolicyLRU, PolicyLFU, PolicyFIFO, PolicyLFUAged, PolicyBelady}
 	f := func(seed uint64) bool {
 		state := seed
 		next := func(n int) int {
@@ -75,19 +76,24 @@ func TestCacheInvariants(t *testing.T) {
 		}
 		for _, p := range policies {
 			cap := next(6)
-			g := NewGroupCache(p, cap, 12)
-			var accessed int64
-			for step := 0; step < 100; step++ {
+			stream := make([][]int, 100)
+			for step := range stream {
 				n := 1 + next(4)
 				seen := map[int]bool{}
-				var units []int
-				for len(units) < n {
+				for len(stream[step]) < n {
 					u := next(12)
 					if !seen[u] {
 						seen[u] = true
-						units = append(units, u)
+						stream[step] = append(stream[step], u)
 					}
 				}
+			}
+			g := NewGroupCache(p, cap, 12)
+			if p == PolicyBelady {
+				g.SetTrace(stream)
+			}
+			var accessed int64
+			for _, units := range stream {
 				h, m := g.AccessSparse(units)
 				if h+m != len(units) {
 					return false
@@ -99,7 +105,7 @@ func TestCacheInvariants(t *testing.T) {
 						resident++
 					}
 				}
-				if resident > g.Capacity() {
+				if resident > g.Capacity() || resident != g.Occupancy() {
 					return false
 				}
 			}
@@ -112,6 +118,35 @@ func TestCacheInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Every policy breaks a tie in its eviction key by evicting the lowest
+// unit index. Units 8, 4 and 6 enter in one access and are never used
+// again, so they tie on stamp, count and next use; unit 1 is used twice
+// more, so it ranks above them. The access {2, 0} misses twice on a full
+// cache and must evict 4, then 6 — not 8 (highest index first) and not in
+// insertion order.
+func TestEvictionTiesGoToLowestIndex(t *testing.T) {
+	stream := [][]int{{8, 4, 6}, {1}, {1}, {2, 0}, {1}, {2}, {0}}
+	for _, p := range []Policy{PolicyLRU, PolicyFIFO, PolicyLFU, PolicyLFUAged, PolicyBelady} {
+		t.Run(p.String(), func(t *testing.T) {
+			g := NewGroupCache(p, 4, 10)
+			if p == PolicyBelady {
+				g.SetTrace(stream)
+			}
+			for _, units := range stream[:4] {
+				g.AccessSparse(units)
+			}
+			for u, want := range []bool{0: true, 1: true, 2: true, 8: true, 9: false} {
+				if g.Resident(u) != want {
+					t.Errorf("unit %d resident %v, want %v", u, g.Resident(u), want)
+				}
+			}
+			if ev := g.Stats().Evictions; ev != 2 {
+				t.Errorf("%d evictions, want 2", ev)
+			}
+		})
 	}
 }
 

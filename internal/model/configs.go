@@ -33,6 +33,18 @@ const (
 	ScalePaper
 )
 
+// ParseScale maps a command-line scale name, "test" or "paper", to its
+// Scale and reports whether the name is known.
+func ParseScale(name string) (Scale, bool) {
+	switch name {
+	case "test":
+		return ScaleTest, true
+	case "paper":
+		return ScalePaper, true
+	}
+	return ScalePaper, false
+}
+
 // ConfigFor returns the architecture for a named model analog at a scale.
 func ConfigFor(name string, scale Scale) (Config, error) {
 	type dims struct{ dim, layers, heads, kv, dff int }
